@@ -27,17 +27,25 @@ __all__ = ["MaskView", "build_mask_view", "validate_mask_domain"]
 
 
 class MaskView:
-    """Lazy view of a mask's structure (possibly complemented)."""
+    """Lazy view of a mask's structure (possibly complemented).
 
-    __slots__ = ("pattern", "complemented")
+    *universe* is the mask's key space (its size, or ``nrows*ncols``), which
+    lets :meth:`allows` answer from a bitmap when the space is small;
+    ``None`` always binary-searches.  The answer is the same either way.
+    """
 
-    def __init__(self, pattern: np.ndarray, complemented: bool):
+    __slots__ = ("pattern", "complemented", "universe")
+
+    def __init__(
+        self, pattern: np.ndarray, complemented: bool, universe: int | None = None
+    ):
         self.pattern = pattern
         self.complemented = complemented
+        self.universe = universe
 
     def allows(self, keys: np.ndarray) -> np.ndarray:
         """Boolean array: which *keys* lie in the mask's structure."""
-        base = membership(keys, self.pattern)
+        base = membership(keys, self.pattern, self.universe)
         return ~base if self.complemented else base
 
     def count_allowed_in(self, total_space: int) -> int:
@@ -73,4 +81,4 @@ def build_mask_view(mask, complemented: bool, structural: bool) -> MaskView | No
     else:
         truthy = cast_array(values, mask.type, BOOL)
         pattern = keys[truthy] if len(keys) else keys
-    return MaskView(pattern, complemented)
+    return MaskView(pattern, complemented, mask._key_space())

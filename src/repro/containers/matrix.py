@@ -109,6 +109,11 @@ class Matrix(OpaqueObject):
         """Raw flat keys/values (kernel use at execution time)."""
         return self._keys, self._values
 
+    def _key_space(self) -> int:
+        """Size of the flat-key universe, ``nrows*ncols`` (the lookup
+        layer's *universe*)."""
+        return self._nrows * self._ncols
+
     def _set_content(self, keys: np.ndarray, values: np.ndarray) -> None:
         self._keys = keys
         self._values = values

@@ -78,6 +78,11 @@ class Vector(OpaqueObject):
         """Raw storage (kernel use at execution time; no completion)."""
         return self._keys, self._values
 
+    def _key_space(self) -> int:
+        """Size of the universe the stored keys live in (the lookup layer's
+        *universe*)."""
+        return self._size
+
     def _set_content(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Install canonical content (sorted unique keys, storage dtype)."""
         self._keys = keys

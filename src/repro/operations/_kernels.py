@@ -24,7 +24,7 @@ import time as _time
 
 import numpy as np
 
-from .._sparseutil import group_starts, ranges_concat, segment_reduce
+from .._sparseutil import group_starts, lookup, ranges_concat, segment_reduce
 from ..algebra.semiring import Semiring
 from ..containers.formats import CSRView
 from ..containers.mask import MaskView
@@ -341,28 +341,10 @@ def _spmv_impl(
             mask_view.pattern, acc,
         )
 
-    pos = np.searchsorted(v_keys, a_view.indices)
-    pos_c = np.minimum(pos, len(v_keys) - 1)
-    hit = v_keys[pos_c] == a_view.indices
-    if not hit.any():
-        return _empty(out_dtype)
-
-    rows = a_view.row_ids()[hit]  # nondecreasing: storage is row-major
-    left = a_vals[hit]
-    right = v_vals[pos_c[hit]]
-    if acc is not None:
-        acc.append(len(left))
-        _obs_spans.annotate(direction="push")
-    prods = (
-        semiring.mul.apply_arrays(right, left)
-        if swap
-        else semiring.mul.apply_arrays(left, right)
+    return _spmv_rows(
+        a_view.row_ids(), a_view.indices, a_vals, v_keys, v_vals,
+        a_view.ncols, semiring, swap, acc, "push",
     )
-    uniq, starts = group_starts(rows)
-    vals = segment_reduce(prods, starts, semiring.add)
-    if not semiring.d_out.is_udt and vals.dtype != out_dtype:
-        vals = vals.astype(out_dtype)
-    return uniq, vals
 
 
 def _spmv_pull(
@@ -383,18 +365,45 @@ def _spmv_pull(
     gather = ranges_concat(a_view.indptr[rows_sel], counts)
     if len(gather) == 0:
         return _empty(out_dtype)
-    cols = a_view.indices[gather]
-    pos = np.searchsorted(v_keys, cols)
-    pos_c = np.minimum(pos, len(v_keys) - 1)
-    hit = v_keys[pos_c] == cols
+    return _spmv_rows(
+        np.repeat(rows_sel.astype(np.int64), counts), a_view.indices[gather],
+        a_vals[gather], v_keys, v_vals, a_view.ncols, semiring, swap, acc,
+        "pull",
+    )
+
+
+def _spmv_rows(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    a_vals: np.ndarray,
+    v_keys: np.ndarray,
+    v_vals: np.ndarray,
+    v_size: int,
+    semiring: Semiring,
+    swap: bool,
+    acc: list | None = None,
+    direction: str | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gather and fold of every SpMV path: stored elements ``A(rows[k],
+    cols[k]) = a_vals[k]`` (row-major) meet v on ``ind(A(i,:)) ∩ ind(v)``.
+
+    Each column is looked up in v's keys over v's *v_size* universe, the
+    hits are multiplied, and each row's products fold with ⊕.  *acc*
+    receives the realized multiply count; *direction* is annotated on the
+    open kernel span alongside it.
+    """
+    out_dtype = semiring.d_out.np_dtype
+    pos = lookup(cols, v_keys, v_size)
+    hit = pos >= 0
     if not hit.any():
         return _empty(out_dtype)
-    rows = np.repeat(rows_sel.astype(np.int64), counts)[hit]
-    left = a_vals[gather][hit]
-    right = v_vals[pos_c[hit]]
+    rows = rows[hit]  # nondecreasing: storage is row-major
+    left = a_vals[hit]
+    right = v_vals[pos[hit]]
     if acc is not None:
         acc.append(len(left))
-        _obs_spans.annotate(direction="pull")
+        if direction is not None:
+            _obs_spans.annotate(direction=direction)
     prods = (
         semiring.mul.apply_arrays(right, left)
         if swap

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .. import context
-from .._sparseutil import flatten_keys, unflatten_keys
+from .._sparseutil import flatten_keys, membership, unflatten_keys
 from ..containers.matrix import Matrix
 from ..containers.mask import build_mask_view
 from ..containers.vector import Vector
@@ -63,11 +63,19 @@ def _resolve_scalar_source(value) -> tuple[Any, bool]:
     return value, True
 
 
-def _check_no_duplicates(idx: np.ndarray, what: str) -> None:
-    if len(np.unique(idx)) != len(idx):
+def _sorted_region(indices, idx: np.ndarray, what: str) -> np.ndarray:
+    """The resolved index list *idx*, sorted, after rejecting duplicates
+    (an API error, raised at call time).  ``GrB_ALL`` resolves to an
+    ``arange``, unique and sorted by construction, so it is returned as is.
+    """
+    if indices is ALL:
+        return idx
+    ordered = np.sort(idx)
+    if len(ordered) > 1 and (ordered[1:] == ordered[:-1]).any():
         raise InvalidValue(
             f"duplicate {what} indices in assign are not allowed"
         )
+    return ordered
 
 
 def _region_z(
@@ -86,7 +94,10 @@ def _region_z(
     """
     c_keys, c_vals = C._content()
     if accum is not None:
-        return accumulate(c_keys, c_vals, C.type, t_keys, t_vals, t_type, accum)
+        return accumulate(
+            c_keys, c_vals, C.type, t_keys, t_vals, t_type, accum,
+            C._key_space(),
+        )
     kept_keys = c_keys[region_keep]
     kept_vals = c_vals[region_keep]
     t_cast = cast_array(t_vals, t_type, C.type)
@@ -133,8 +144,8 @@ def matrix_assign(
     d = effective(desc)
     ri = resolve_indices(row_indices, C.nrows, "row")
     ci = resolve_indices(col_indices, C.ncols, "column")
-    _check_no_duplicates(ri, "row")
-    _check_no_duplicates(ci, "column")
+    ri_sorted = _sorted_region(row_indices, ri, "row")
+    ci_sorted = _sorted_region(col_indices, ci, "column")
     a_shape = (A.ncols, A.nrows) if d.transpose0 else A.shape
     if a_shape != (len(ri), len(ci)):
         raise DimensionMismatch(
@@ -164,7 +175,10 @@ def matrix_assign(
             keep = np.zeros(len(c_keys), dtype=bool)
         else:
             rows, cols = unflatten_keys(c_keys, C.ncols)
-            keep = ~(np.isin(rows, ri) & np.isin(cols, ci))
+            keep = ~(
+                membership(rows, ri_sorted, C.nrows)
+                & membership(cols, ci_sorted, C.ncols)
+            )
         return t_keys, t_vals, keep
 
     _submit_assign(
@@ -187,22 +201,24 @@ def matrix_assign_scalar(
     check_output(C)
     if not isinstance(C, Matrix):
         raise InvalidValue("matrix_assign_scalar requires a Matrix output")
-    ri = resolve_indices(row_indices, C.nrows, "row")
-    ci = resolve_indices(col_indices, C.ncols, "column")
-    _check_no_duplicates(ri, "row")
-    _check_no_duplicates(ci, "column")
+    ri_sorted = _sorted_region(
+        row_indices, resolve_indices(row_indices, C.nrows, "row"), "row"
+    )
+    ci_sorted = _sorted_region(
+        col_indices, resolve_indices(col_indices, C.ncols, "column"), "column"
+    )
     validate_mask_shape(Mask, C)
     validate_accum(accum, C, C.type)
     if C.type.is_udt and not isinstance(value, _ScalarObject):
         C.type.validate_scalar(value)
-    full_region = len(ri) == C.nrows and len(ci) == C.ncols
+    full_region = len(ri_sorted) == C.nrows and len(ci_sorted) == C.ncols
 
     def make():
         resolved, present = _resolve_scalar_source(value)
+        # sorted row and column lists make the row-major product sorted
         t_keys = (
-            ri[:, None].astype(np.int64) * np.int64(C.ncols) + ci[None, :]
+            ri_sorted[:, None] * np.int64(C.ncols) + ci_sorted[None, :]
         ).ravel()
-        t_keys = np.sort(t_keys)
         if not present:
             # empty GrB_Scalar source: assigns nothing — with no accum the
             # region's previous entries are still deleted (spec 2.0)
@@ -224,7 +240,10 @@ def matrix_assign_scalar(
             keep = np.zeros(len(c_keys), dtype=bool)
         else:
             rows, cols = unflatten_keys(c_keys, C.ncols)
-            keep = ~(np.isin(rows, ri) & np.isin(cols, ci))
+            keep = ~(
+                membership(rows, ri_sorted, C.nrows)
+                & membership(cols, ci_sorted, C.ncols)
+            )
         return t_keys, t_vals, keep
 
     srcs = (value,) if isinstance(value, _ScalarObject) else ()
@@ -250,7 +269,7 @@ def vector_assign(
     if not isinstance(w, Vector) or not isinstance(u, Vector):
         raise InvalidValue("vector_assign requires Vector output and input")
     idx = resolve_indices(indices, w.size, "vector")
-    _check_no_duplicates(idx, "vector")
+    idx_sorted = _sorted_region(indices, idx, "vector")
     if u.size != len(idx):
         raise DimensionMismatch(
             f"source size {u.size} but region selects {len(idx)}"
@@ -270,7 +289,7 @@ def vector_assign(
         if full_region:
             keep = np.zeros(len(w_keys), dtype=bool)
         else:
-            keep = ~np.isin(w_keys, idx)
+            keep = ~membership(w_keys, idx_sorted, w.size)
         return t_keys, t_vals, keep
 
     _submit_assign(w, mask, accum, desc, "assign", (u,), make, u.type)
@@ -290,17 +309,18 @@ def vector_assign_scalar(
     check_output(w)
     if not isinstance(w, Vector):
         raise InvalidValue("vector_assign_scalar requires a Vector output")
-    idx = resolve_indices(indices, w.size, "vector")
-    _check_no_duplicates(idx, "vector")
+    idx_sorted = _sorted_region(
+        indices, resolve_indices(indices, w.size, "vector"), "vector"
+    )
     validate_mask_shape(mask, w)
     validate_accum(accum, w, w.type)
     if w.type.is_udt and not isinstance(value, _ScalarObject):
         w.type.validate_scalar(value)
-    full_region = len(idx) == w.size
+    full_region = len(idx_sorted) == w.size
 
     def make():
         resolved, present = _resolve_scalar_source(value)
-        t_keys = np.sort(idx)
+        t_keys = idx_sorted
         if not present:
             t_keys = t_keys[:0]
             t_vals = np.empty(0, dtype=object if w.type.is_udt else w.type.np_dtype)
@@ -319,7 +339,7 @@ def vector_assign_scalar(
         if full_region:
             keep = np.zeros(len(w_keys), dtype=bool)
         else:
-            keep = ~np.isin(w_keys, idx)
+            keep = ~membership(w_keys, idx_sorted, w.size)
         return t_keys, t_vals, keep
 
     srcs = (value,) if isinstance(value, _ScalarObject) else ()
@@ -373,7 +393,7 @@ def _line_assign(C, mask, accum, u, line: int, indices, desc, is_row: bool):
             f"{'row' if is_row else 'column'} {line} out of range"
         )
     idx = resolve_indices(indices, line_len, "line")
-    _check_no_duplicates(idx, "line")
+    idx_sorted = _sorted_region(indices, idx, "line")
     if u.size != len(idx):
         raise DimensionMismatch(
             f"source size {u.size} but region selects {len(idx)}"
@@ -402,7 +422,7 @@ def _line_assign(C, mask, accum, u, line: int, indices, desc, is_row: bool):
         if accum is None:
             # region entries of the line are replaced: survivors are the
             # line's stored entries outside the region, disjoint from T
-            survive = ~np.isin(line_pos, idx)
+            survive = ~membership(line_pos, idx_sorted, line_len)
             z_keys = np.concatenate([line_pos[survive], t_pos])
             z_vals = np.concatenate(
                 [
@@ -417,7 +437,8 @@ def _line_assign(C, mask, accum, u, line: int, indices, desc, is_row: bool):
             z_pos, z_vals = z_keys[o], z_vals[o]
         else:
             z_pos, z_vals = accumulate(
-                line_pos, line_vals, C.type, t_pos, t_vals, u.type, accum
+                line_pos, line_vals, C.type, t_pos, t_vals, u.type, accum,
+                line_len,
             )
 
         mask_view = build_mask_view(mask, d.mask_complement, d.mask_structure)

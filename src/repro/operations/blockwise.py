@@ -31,7 +31,7 @@ import numpy as np
 from .._sparseutil import group_starts, ranges_concat, segment_reduce
 from ..algebra.semiring import Semiring
 from ..containers.formats import CSRView
-from ._kernels import _empty
+from ._kernels import _empty, _spmv_rows
 
 __all__ = [
     "spgemm_stripe",
@@ -128,37 +128,24 @@ def spmv_stripe(
     """Push-direction SpMV over rows [lo, hi); keys are absolute row ids.
 
     This is :func:`repro.operations._kernels._spmv_impl`'s push path
-    restricted to a row window — a row-major slice, so per-row intersection
-    and fold order are byte-for-byte the full kernel's.
+    restricted to a row window — a row-major slice handed to the same
+    :func:`~repro.operations._kernels._spmv_rows` gather and fold, so
+    per-row intersection and fold order are the full kernel's.
     """
     out_dtype = semiring.d_out.np_dtype
     a_lo, a_hi = int(a_view.indptr[lo]), int(a_view.indptr[hi])
     if a_lo == a_hi or len(v_keys) == 0:
         return (*_empty(out_dtype), 0)
-
-    cols = a_view.indices[a_lo:a_hi]
-    pos = np.searchsorted(v_keys, cols)
-    pos_c = np.minimum(pos, len(v_keys) - 1)
-    hit = v_keys[pos_c] == cols
-    if not hit.any():
-        return (*_empty(out_dtype), 0)
-
     rows = np.repeat(
         np.arange(lo, hi, dtype=np.int64),
         np.diff(a_view.indptr[lo : hi + 1]),
-    )[hit]
-    left = a_vals[a_lo:a_hi][hit]
-    right = v_vals[pos_c[hit]]
-    prods = (
-        semiring.mul.apply_arrays(right, left)
-        if swap
-        else semiring.mul.apply_arrays(left, right)
     )
-    uniq, starts = group_starts(rows)
-    vals = segment_reduce(prods, starts, semiring.add)
-    if not semiring.d_out.is_udt and vals.dtype != out_dtype:
-        vals = vals.astype(out_dtype)
-    return uniq, vals, len(left)
+    acc: list = []
+    uniq, vals = _spmv_rows(
+        rows, a_view.indices[a_lo:a_hi], a_vals[a_lo:a_hi], v_keys, v_vals,
+        a_view.ncols, semiring, swap, acc,
+    )
+    return uniq, vals, int(sum(acc))
 
 
 def reduce_rows_stripe(

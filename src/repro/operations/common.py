@@ -122,13 +122,15 @@ def accumulate(
     t_vals: np.ndarray,
     t_type: GrBType,
     accum: BinaryOp | None,
+    universe: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step 3a: ``Z = C ⊙ T`` (or ``Z = T`` without an accumulator).
 
     The result is in C's domain.  Without an accumulator T is simply cast.
     With one, the pattern is the union: C-only entries persist, T-only
     entries are cast in, and intersecting entries combine via the
-    accumulator with the spec's casting at each boundary.
+    accumulator with the spec's casting at each boundary.  *universe* is
+    the key space of C, for the lookup layer.
     """
     out_dtype = c_type.np_dtype
     if accum is None:
@@ -148,6 +150,7 @@ def accumulate(
         combine,
         cast_a=lambda x: x,  # already in C's domain
         cast_b=lambda x: cast_array(x, t_type, c_type),
+        universe=universe,
     )
 
 
@@ -206,7 +209,7 @@ def run_write_pipeline(
         t_keys, t_vals = t_keys[keep], t_vals[keep]
     c_keys, c_vals = C._content()
     z_keys, z_vals = accumulate(
-        c_keys, c_vals, C.type, t_keys, t_vals, t_type, accum
+        c_keys, c_vals, C.type, t_keys, t_vals, t_type, accum, C._key_space()
     )
     masked_write(C, z_keys, z_vals, mask_view, desc.replace)
     if _obs_spans.current() is not None or _metrics.registry.enabled:

@@ -146,6 +146,7 @@ def ewise_add(
             combine,
             cast_a=lambda x: cast_array(x, A.type, bop.d_out),
             cast_b=lambda x: cast_array(x, B.type, bop.d_out),
+            universe=C._key_space(),
         )
 
     submit_standard_op(
@@ -180,7 +181,7 @@ def ewise_mult(
 
     def kernel(mask_view):
         (a_keys, a_raw), (b_keys, b_raw) = _contents(C, A, B, d)
-        ia, ib = intersect_indices(a_keys, b_keys)
+        ia, ib = intersect_indices(a_keys, b_keys, C._key_space())
         keys = a_keys[ia]
         vals = bop.apply_arrays(
             cast_array(a_raw[ia], A.type, bop.d_in1),
@@ -266,8 +267,6 @@ def ewise_union(
                 cast_array(bv, B.type, bop.d_in2),
             )
 
-        from .._sparseutil import union_keys
-
         return union_keys(
             a_keys,
             a_raw,
@@ -277,6 +276,7 @@ def ewise_union(
             combine,
             cast_a=only_a,
             cast_b=only_b,
+            universe=C._key_space(),
         )
 
     submit_standard_op(

@@ -39,7 +39,6 @@ import math
 from .. import obs
 from ..obs import metrics
 from ..obs.export import BenchRecorder, timeline_html
-from ..obs.metrics import percentile
 from .errors import QueueFull
 from .service import Service, ServiceConfig
 from .session import SHARED_PREFIX, SHARED_SESSION
@@ -403,7 +402,10 @@ def run_direct(
     finally:
         svc.shutdown()
     delta = metrics.MetricsRegistry.delta(before, metrics.registry.snapshot())
-    lat = delta["histograms"].get("service.latency_us")
+    batch = delta["histograms"].get("service.batch_size")
+    # exact nearest-rank percentiles of the answered requests' own
+    # admission-to-result times, not the latency histogram's bucket bounds
+    total_us = timing_summary(results).get("total_us") or {}
     return {
         "results": results,
         "errors": errors,
@@ -411,8 +413,9 @@ def run_direct(
         "stats": stats,
         "diag": diag_st,
         "counters": delta["counters"],
-        "latency_p50_us": percentile(lat, 0.50) if lat else None,
-        "latency_p99_us": percentile(lat, 0.99) if lat else None,
+        "mean_batch": batch["total"] / batch["count"] if batch else 0.0,
+        "latency_p50_us": total_us.get("p50"),
+        "latency_p99_us": total_us.get("p99"),
     }
 
 
@@ -904,10 +907,7 @@ def main(argv: list[str] | None = None) -> int:
                 extra = {
                     "qps": total / run["elapsed_s"],
                     "batches": run["counters"].get("service.batches", 0),
-                    "mean_batch": (
-                        run["counters"].get("service.batch_size", 0)
-                        / max(1, run["counters"].get("service.batches", 0))
-                    ),
+                    "mean_batch": run["mean_batch"],
                     "p50_us": run["latency_p50_us"],
                     "p99_us": run["latency_p99_us"],
                     "errors": len(run["errors"]),

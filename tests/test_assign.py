@@ -169,3 +169,63 @@ class TestGenericDispatch:
         grb.assign(C, None, None, u, 1, grb.ALL)  # row assign
         got = {(i, j): int(v) for i, j, v in C if i == 1}
         assert got == {(1, 0): 3}
+
+
+class TestRegionIndexChecks:
+    """Duplicate region indices are an API error (section V): raised at call
+    time, before anything is queued, in both execution modes.  ``GrB_ALL``
+    is unique and sorted by construction, so it skips the check."""
+
+    VARIANTS = {
+        "matrix": lambda idx: grb.matrix_assign(
+            grb.Matrix(grb.INT64, 4, 4), None, None,
+            grb.Matrix(grb.INT64, len(idx), 2), idx, [0, 1],
+        ),
+        "matrix_col_list": lambda idx: grb.matrix_assign(
+            grb.Matrix(grb.INT64, 4, 4), None, None,
+            grb.Matrix(grb.INT64, 2, len(idx)), [0, 1], idx,
+        ),
+        "matrix_scalar": lambda idx: grb.matrix_assign_scalar(
+            grb.Matrix(grb.INT64, 4, 4), None, None, 1, idx, grb.ALL
+        ),
+        "vector": lambda idx: grb.vector_assign(
+            grb.Vector(grb.INT64, 4), None, None,
+            grb.Vector(grb.INT64, len(idx)), idx,
+        ),
+        "vector_scalar": lambda idx: grb.vector_assign_scalar(
+            grb.Vector(grb.INT64, 4), None, None, 1, idx
+        ),
+        "row": lambda idx: grb.row_assign(
+            grb.Matrix(grb.INT64, 4, 4), None, None,
+            grb.Vector(grb.INT64, len(idx)), 0, idx,
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ["blocking", "nonblocking"])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_duplicates_raise_at_call_time(self, variant, mode):
+        if mode == "nonblocking":
+            grb.init(grb.Mode.NONBLOCKING)
+        with pytest.raises(grb.InvalidValue):
+            self.VARIANTS[variant]([2, 0, 2])
+        # unsorted but unique lists are fine
+        self.VARIANTS[variant]([3, 0, 2])
+        grb.wait()
+
+    def test_unsorted_region_lists_fill_the_same_cells(self):
+        C = grb.Matrix(grb.INT64, 4, 5)
+        grb.matrix_assign_scalar(C, None, None, 7, [3, 0], [4, 1, 2])
+        rows, cols, _ = C.extract_tuples()
+        assert sorted(zip(rows.tolist(), cols.tolist())) == [
+            (0, 1), (0, 2), (0, 4), (3, 1), (3, 2), (3, 4),
+        ]
+        w = grb.Vector.from_coo(grb.INT64, 6, [0, 1, 5], [1, 1, 1])
+        grb.vector_assign_scalar(w, None, None, 9, [5, 2])
+        assert {i: int(v) for i, v in w} == {0: 1, 1: 1, 2: 9, 5: 9}
+
+    def test_all_region_replaces_and_preserves_order(self):
+        w = grb.Vector.from_coo(grb.INT64, 5, [1, 3], [4, 4])
+        grb.vector_assign_scalar(w, None, None, 2, grb.ALL)
+        keys, vals = w.extract_tuples()
+        assert keys.tolist() == [0, 1, 2, 3, 4]
+        assert vals.tolist() == [2] * 5

@@ -1,9 +1,13 @@
 """Mask semantics in isolation (paper section III-C)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro as grb
+from repro import _sparseutil
 from repro.containers.mask import MaskView, build_mask_view
 
 
@@ -42,6 +46,48 @@ class TestMaskView:
 
     def test_no_mask_is_none(self):
         assert build_mask_view(None, False, False) is None
+
+    def test_view_carries_the_mask_universe(self):
+        v = grb.Vector.from_coo(grb.BOOL, 7, [1], [True])
+        m = grb.Matrix.from_coo(grb.BOOL, 3, 5, [1], [4], [True])
+        assert build_mask_view(v, False, False).universe == 7
+        assert build_mask_view(m, True, True).universe == 15
+        assert MaskView(np.array([1], dtype=np.int64), False).universe is None
+
+    @given(
+        data=st.data(),
+        shape=st.sampled_from([(1, 1), (1, 40), (6, 7), (33, 3)]),
+        complemented=st.booleans(),
+        structural=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_allows_agrees_with_and_without_universe(
+        self, data, shape, complemented, structural
+    ):
+        nrows, ncols = shape
+        n = nrows * ncols
+        cells = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        # values mix true and false so value and structural masks differ
+        vals = data.draw(st.lists(st.integers(0, 2), min_size=len(cells),
+                                  max_size=len(cells)))
+        rows, cols = np.divmod(np.array(cells, dtype=np.int64), ncols)
+        if nrows == 1:
+            mask = grb.Vector.from_coo(grb.INT32, n, cols, vals)
+        else:
+            mask = grb.Matrix.from_coo(grb.INT32, nrows, ncols, rows, cols, vals)
+        keys = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), max_size=50)),
+            dtype=np.int64,
+        )
+        view = build_mask_view(mask, complemented, structural)
+        assert view.universe == n
+        unknown = MaskView(view.pattern, complemented, None)
+        with mock.patch.object(_sparseutil, "DENSE_RATIO", 2**62):
+            dense = view.allows(keys)  # the bitmap, whatever the sizes
+        want = [
+            (int(k) in set(view.pattern.tolist())) != complemented for k in keys
+        ]
+        assert dense.tolist() == unknown.allows(keys).tolist() == want
 
 
 class TestMaskThroughOperations:

@@ -1,6 +1,7 @@
 """The multi-tenant graph service: sessions, admission control, batched
 execution, concurrency correctness, and the TCP front-end."""
 
+import math
 import threading
 import time
 
@@ -255,6 +256,26 @@ class TestObservability:
         assert "service.latency_us" in snap["histograms"]
         assert "service.queue_wait_us" in snap["histograms"]
         assert snap["counters"]["service.batches"] >= 1
+
+    def test_loadgen_bench_figures_come_from_exact_samples(self):
+        """The figures a loadgen BENCH entry records: ``mean_batch`` is the
+        batch-size histogram's sum over its count (read as a counter it was
+        0.0), and p50/p99 are nearest-rank statistics of the per-request
+        ``total_us`` samples, not power-of-4 bucket bounds."""
+        streams = build_streams(seed=5, clients=3, requests=30)
+        out = run_direct(streams, seed=5, workers=2, pipeline=4)
+        assert not out["errors"]
+        counters = out["counters"]
+        answered = counters["service.completed"] + counters.get("service.failed", 0)
+        assert out["mean_batch"] >= 1.0
+        # every answered request rode in exactly one batch
+        assert out["mean_batch"] * counters["service.batches"] == pytest.approx(answered)
+        samples = sorted(
+            r["timing"]["total_us"] for stream in out["results"] for r in stream
+        )
+        for q, key in ((0.50, "latency_p50_us"), (0.99, "latency_p99_us")):
+            rank = max(0, math.ceil(q * len(samples)) - 1)
+            assert out[key] == samples[rank]
 
     def test_spans_capture_serving_window(self):
         from repro import obs

@@ -1,5 +1,7 @@
 """Unit tests for the sorted-index-set primitives every kernel builds on."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -69,6 +71,93 @@ class TestMembership:
         assert su.membership(e, x).tolist() == []
         ia, ib = su.intersect_indices(e, x)
         assert len(ia) == 0 and len(ib) == 0
+
+
+@st.composite
+def lookup_case(draw):
+    """(keys, table, universe): a sorted-unique table and arbitrary keys
+    (unsorted, repeated) in ``[0, universe)``, with the edges drawn often:
+    empty keys or table, a full table, key 0 and key ``universe - 1``."""
+    universe = draw(st.integers(1, 300))
+    members = st.integers(0, universe - 1)
+    if draw(st.booleans()) and universe <= 64:
+        table = list(range(universe))  # full table
+    else:
+        table = draw(st.lists(members, max_size=40, unique=True))
+    keys = draw(st.lists(members, max_size=60))
+    keys += draw(st.sampled_from([[], [0], [universe - 1], [0, universe - 1]]))
+    keys = draw(st.permutations(keys))
+    return (
+        np.array(keys, dtype=np.int64),
+        np.array(sorted(table), dtype=np.int64),
+        universe,
+    )
+
+
+def _both_strategies(fn, keys, table, universe):
+    """*fn* under the dense map (forced for any operand size) and under
+    ``searchsorted`` (the unknown-universe path)."""
+    with mock.patch.object(su, "DENSE_RATIO", 2**62):
+        dense = fn(keys, table, universe)
+    return dense, fn(keys, table, None)
+
+
+class TestLookup:
+    @given(case=lookup_case())
+    @settings(**SETTINGS)
+    def test_lookup_strategies_identical(self, case):
+        keys, table, universe = case
+        dense, searched = _both_strategies(su.lookup, keys, table, universe)
+        pos_of = {int(k): i for i, k in enumerate(table)}
+        want = [pos_of.get(int(k), -1) for k in keys]
+        for got in (dense, searched):
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+    @given(case=lookup_case())
+    @settings(**SETTINGS)
+    def test_membership_strategies_identical(self, case):
+        keys, table, universe = case
+        dense, searched = _both_strategies(su.membership, keys, table, universe)
+        assert dense.dtype == searched.dtype == np.bool_
+        assert dense.tolist() == searched.tolist() == np.isin(keys, table).tolist()
+
+    @given(case=lookup_case())
+    @settings(**SETTINGS)
+    def test_intersect_strategies_identical(self, case):
+        keys, table, universe = case
+        keys = np.unique(keys)  # both sides of an intersection are sets
+        dense, searched = _both_strategies(
+            su.intersect_indices, keys, table, universe
+        )
+        for ia, ib in (dense, searched):
+            assert ia.dtype == ib.dtype == np.int64
+            assert keys[ia].tolist() == table[ib].tolist()
+        assert dense[0].tolist() == searched[0].tolist()
+        assert dense[1].tolist() == searched[1].tolist()
+
+    def test_edges(self):
+        e = np.empty(0, dtype=np.int64)
+        full = np.arange(8, dtype=np.int64)
+        ends = np.array([7, 0, 7], dtype=np.int64)
+        for universe in (8, None):
+            assert su.lookup(e, full, universe).tolist() == []
+            assert su.lookup(ends, e, universe).tolist() == [-1, -1, -1]
+            assert su.lookup(ends, full, universe).tolist() == [7, 0, 7]
+            assert su.membership(ends, e, universe).tolist() == [False] * 3
+            ia, ib = su.intersect_indices(full, ends[:2][::-1], universe)
+            assert ia.tolist() == [0, 7] and ib.tolist() == [0, 1]
+
+    def test_huge_universe_never_builds_a_map(self):
+        # a dense map over 2**40 slots would need terabytes; the density
+        # rule keeps tiny operands on searchsorted, so this returns at once
+        universe = 2**40
+        table = np.array([3, universe - 1], dtype=np.int64)
+        keys = np.array([universe - 1, 0, 3], dtype=np.int64)
+        assert su.lookup(keys, table, universe).tolist() == [1, -1, 0]
+        assert su.membership(keys, table, universe).tolist() == [True, False, True]
+        ia, ib = su.intersect_indices(table, np.sort(keys), universe)
+        assert ia.tolist() == [0, 1] and ib.tolist() == [1, 2]
 
 
 class TestUnionKeys:
