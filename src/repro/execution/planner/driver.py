@@ -69,7 +69,6 @@ def _attach_runners(g: Graph) -> None:
 
     acct = _tracing.current_accounting()
     detector = _diag.detector()
-    backend_name = _kernel_backend_name() if detector is not None else ""
     provenance = _node_provenance(g)
     cache: dict[int, tuple] = {}
     for node in g.alive_nodes():
@@ -120,20 +119,16 @@ def _attach_runners(g: Graph) -> None:
                 "rids": rids,
             }
         if detector is not None:
-            runner = _anomaly_wrap(runner, node.label, backend_name)
+            runner = _anomaly_wrap(runner, node.label)
         node.runner = acct.wrap(runner, rids) if acct is not None else runner
 
 
-def _kernel_backend_name() -> str:
-    from ...kernels.interface import active_backend
-
-    try:
-        return active_backend().name
-    except Exception:
-        return "interpreter"
+#: the anomaly detector's backend key for work run in this process (the
+#: shard scheduler reports its tasks under ``"shard"``)
+_LOCAL_BACKEND = "interpreter"
 
 
-def _anomaly_wrap(runner, label: str, backend: str):
+def _anomaly_wrap(runner, label: str):
     """Time *runner* for the installed anomaly detector (nested tallies
     propagate, so this composes with :meth:`DrainAccounting.wrap`)."""
     import time as _time
@@ -148,7 +143,7 @@ def _anomaly_wrap(runner, label: str, backend: str):
             runner()
         finally:
             _diag.observe_kernel(
-                label, backend,
+                label, _LOCAL_BACKEND,
                 seconds=_time.perf_counter() - t0,
                 flops=_tally_end(token),
             )
@@ -159,9 +154,6 @@ def _anomaly_wrap(runner, label: str, backend: str):
 def _explain_record(g: Graph, levels: list, elided: int) -> dict:
     """One EXPLAIN entry for a built plan: every surviving node with its
     rewrite kind, hazard predecessors, provenance, and backend choice."""
-    from ...parallel import get_backend as _get_backend
-
-    kb = _kernel_backend_name()
     provenance = _node_provenance(g)
     nodes: list[dict] = []
     fused = cse = 0
@@ -176,13 +168,10 @@ def _explain_record(g: Graph, levels: list, elided: int) -> dict:
             "request_ids": rids,
             "trace_ids": tids,
             "kind": "plain",
-            "backend": kb,
         }
         if node.fused_chain is not None:
             entry["kind"] = "fused"
             fused += 1
-            if kb == "codegen":
-                entry["compile_eligible"] = _compile_eligible(node.fused_chain)
         elif node.cse_source is not None:
             entry["kind"] = "cse"
             entry["cse_source"] = node.cse_source
@@ -192,24 +181,13 @@ def _explain_record(g: Graph, levels: list, elided: int) -> dict:
         nodes.append(entry)
     return {
         "optimize": True,
-        "kernel_backend": kb,
-        "exec_backend": _get_backend(),
+        "exec_backend": get_backend(),
         "levels": len(levels),
         "elided": elided,
         "fused_chains": fused,
         "cse_merged": cse,
         "nodes": nodes,
     }
-
-
-def _compile_eligible(chain) -> bool:
-    """Would the codegen backend compile this fused chain's signature?"""
-    try:
-        from ...kernels.codegen import chain_signature
-
-        return chain_signature(list(chain)) is not None
-    except Exception:
-        return False
 
 
 class ExecutionPlan:
@@ -388,12 +366,10 @@ def _serial_explain_record(ops: list[DeferredOp]) -> dict:
                 "request_ids": rids,
                 "trace_ids": tids,
                 "kind": "plain",
-                "backend": _kernel_backend_name(),
             }
         )
     return {
         "optimize": False,
-        "kernel_backend": _kernel_backend_name(),
         "levels": len(ops),
         "elided": 0,
         "fused_chains": 0,

@@ -82,8 +82,8 @@ def fusion_pass(g: Graph, ops: list[DeferredOp], owner: list[int]) -> int:
     tries to absorb *its* sole consumer too.  Chains therefore grow to
     arbitrary length, one contraction (and one increment of the return
     value) per absorbed link; the semantic tests live in
-    :mod:`repro.kernels.chain` and any chain built here is runnable by the
-    interpreter backend — legality never depends on codegen eligibility.
+    :mod:`repro.kernels.chain` and every chain built here runs through
+    :func:`repro.kernels.interpreter.interpret_chain`.
 
     *owner* maps op position → owning node index and is updated in place.
     """

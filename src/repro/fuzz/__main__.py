@@ -29,7 +29,6 @@ from .executor import (
     PROCESSES,
     check_error_conformance,
     check_memo_conformance,
-    codegen_modes,
     default_modes,
     exhaustive_modes,
     run_differential,
@@ -54,10 +53,6 @@ def _parse_args(argv):
     p.add_argument("--processes", action="store_true",
                    help="add the sharded multi-process backend to the "
                         "differential pair (2-worker pool, 2x2 grid)")
-    p.add_argument("--codegen", action="store_true",
-                   help="run every planner ablation again under the codegen "
-                        "kernel backend (generated fused kernels must stay "
-                        "bit-identical to the interpreter)")
     p.add_argument("--memo", action="store_true",
                    help="add the cached multi-tenant service to the "
                         "differential pair: every program runs cold and "
@@ -99,9 +94,6 @@ def main(argv=None) -> int:
         args.errors = max(args.n // 5, 1)
 
     modes = exhaustive_modes() if args.exhaustive else default_modes()
-    if args.codegen:
-        seen = {m.name for m in modes}
-        modes = modes + [m for m in codegen_modes() if m.name not in seen]
     if args.processes:
         modes = modes + [PROCESSES]
     print(f"modes: {', '.join(m.name for m in modes)}")

@@ -30,11 +30,9 @@ from typing import Any
 __all__ = [
     "ExecMode",
     "PROCESSES",
-    "CODEGEN",
     "default_modes",
     "ablation_modes",
     "exhaustive_modes",
-    "codegen_modes",
     "Snapshot",
     "DivergenceReport",
     "run_reference",
@@ -61,8 +59,6 @@ class ExecMode:
     #: "processes" drops the parallel threshold to 0 and forces a small
     #: 2-worker / (2, 2)-grid pool so every shippable op actually shards
     backend: str = "threads"
-    #: kernel backend for the run ("interpreter" | "codegen")
-    kernel_backend: str = "interpreter"
 
     def knobs(self) -> dict:
         return dict(self.planner)
@@ -77,12 +73,6 @@ BLOCKING = ExecMode("blocking")
 #: nonblocking under the full planner with the sharded process backend —
 #: the differential pair that proves blocking vs multi-process bit-identity
 PROCESSES = ExecMode("nb-processes", nonblocking=True, backend="processes")
-
-#: nonblocking under the full planner with the codegen kernel backend —
-#: every eligible fused chain runs through a generated kernel
-CODEGEN = ExecMode(
-    "nb-codegen", nonblocking=True, kernel_backend="codegen"
-)
 
 
 def ablation_modes() -> list[ExecMode]:
@@ -101,23 +91,6 @@ def ablation_modes() -> list[ExecMode]:
 
 def default_modes() -> list[ExecMode]:
     return [BLOCKING] + ablation_modes()
-
-
-def codegen_modes() -> list[ExecMode]:
-    """Every ablation mode re-run with generated kernels, plus blocking.
-
-    Pass ablations matter here: fusion-off modes prove the codegen backend
-    is inert when no chains form, and planner-off modes prove it never
-    leaks into the program-order path.
-    """
-    import dataclasses
-
-    return [BLOCKING] + [
-        dataclasses.replace(
-            m, name=m.name.replace("nb-", "nb-cg-"), kernel_backend="codegen"
-        )
-        for m in ablation_modes()
-    ]
 
 
 def exhaustive_modes() -> list[ExecMode]:
@@ -549,7 +522,6 @@ def run_optimized(program, mode: ExecMode, *, obs_capture: bool = False) -> Snap
         parallel.parallel_threshold(),
         parallel.shard_workers(),
         parallel.shard_grid(),
-        parallel.get_kernel_backend(),
     )
     try:
         if mode.nonblocking:
@@ -559,8 +531,6 @@ def run_optimized(program, mode: ExecMode, *, obs_capture: bool = False) -> Snap
             planner.configure(**knobs)
         if mode.backend != "threads":
             parallel.set_backend(mode.backend)
-        if mode.kernel_backend != "interpreter":
-            parallel.set_kernel_backend(mode.kernel_backend)
         if mode.backend == "processes":
             # make sharding bite on fuzz-sized programs: no threshold, a
             # 2-worker pool, and a forced 2×2 grid so the tile-merge path
@@ -599,7 +569,6 @@ def run_optimized(program, mode: ExecMode, *, obs_capture: bool = False) -> Snap
         parallel.set_parallel_threshold(prior[1])
         parallel.set_shard_workers(prior[2])
         parallel.set_shard_grid(prior[3])
-        parallel.set_kernel_backend(prior[4])
         context._reset()
 
 

@@ -1,44 +1,24 @@
-"""Pluggable kernel suites (``repro.kernels``).
+"""Fused-chain kernels (``repro.kernels``).
 
 The planner decides *what* runs (the DAG, fusion chains, levels); the
 execution backend decides *where* (serial / threads / processes); this
-package decides *how* the result T of each planned node is computed.  Two
-suites register at import:
+package runs a fused chain ``[producer, link, ...]`` with the hand-written
+numpy kernels, streaming the producer's result through every link.
 
-* ``interpreter`` — the hand-written numpy kernels (default);
-* ``codegen`` — compiles eligible fused chains to generated kernels with
-  an on-disk source cache, falling back to the interpreter per chain.
-
-Select with ``repro.parallel.set_kernel_backend("codegen")`` (or the
-service's ``kernel_backend`` config field).  Out-of-tree suites — e.g. a
-SuiteSparse binding — subclass :class:`KernelBackend` and call
-:func:`register_backend`.
+* :mod:`.chain` — the fusion pass's two predicates (which ops may join a
+  chain, and which links keep it streaming);
+* :mod:`.interpreter` — :func:`interpret_chain`, the one execution path of
+  every fused chain.
 """
 
 from __future__ import annotations
 
-from .chain import chain_key, chain_signature, is_stream_link, overwrite_shaped
-from .codegen import CodegenBackend
-from .interface import (
-    KernelBackend,
-    active_backend,
-    available_backends,
-    register_backend,
-)
-from .interpreter import InterpreterBackend
+from .chain import is_stream_link, overwrite_shaped
+from .interpreter import InterpreterBackend, interpret_chain
 
 __all__ = [
-    "KernelBackend",
     "InterpreterBackend",
-    "CodegenBackend",
-    "register_backend",
-    "active_backend",
-    "available_backends",
-    "chain_signature",
-    "chain_key",
+    "interpret_chain",
     "is_stream_link",
     "overwrite_shaped",
 ]
-
-register_backend(InterpreterBackend())
-register_backend(CodegenBackend())

@@ -1,20 +1,14 @@
-"""The interpreter backend: hand-written kernels, link-by-link streaming.
+"""The chain interpreter: hand-written kernels, link-by-link streaming.
 
-:func:`interpret_chain` generalizes PR 1's pair fusion to arbitrary-length
-chains.  The head's result streams through every middle link — each one a
-mask filter plus its transform, then a cast into the intermediate's domain
-(exactly what an overwrite-shaped write would have stored) — and the tail
-runs the full write pipeline against the real output.  For a two-element
-chain this executes the identical kernel sequence the original
-``execute_fused`` did.
-
-Both backends lean on this module: codegen falls back here per chain when
-a signature is ineligible or a generated kernel misbehaves.
+:func:`interpret_chain` generalizes producer→consumer pair fusion to
+arbitrary-length chains.  The head's result streams through every middle
+link — each one a mask filter plus its transform, then a cast into the
+intermediate's domain (exactly what an overwrite-shaped write would have
+stored) — and the tail runs the full write pipeline against the real
+output.  A two-element chain is exactly the pair contraction.
 """
 
 from __future__ import annotations
-
-from .interface import KernelBackend
 
 __all__ = ["InterpreterBackend", "interpret_chain"]
 
@@ -70,14 +64,14 @@ def interpret_chain(specs) -> None:
     )
 
 
-class InterpreterBackend(KernelBackend):
-    """The default suite: every kernel is the hand-written numpy one."""
+class InterpreterBackend:
+    """Entry point of fused-chain execution.
 
-    name = "interpreter"
+    :meth:`run_chain` is the seam profilers wrap to time chain kernels
+    (by its dotted name, ``repro.kernels.interpreter:InterpreterBackend.
+    run_chain``), so :func:`repro.operations.common.execute_chain` calls
+    through it rather than :func:`interpret_chain` directly.
+    """
 
     def run_chain(self, specs) -> None:
-        from ..obs import spans as _obs_spans
-
-        if _obs_spans.current() is not None:
-            _obs_spans.annotate(compiled=False)
         interpret_chain(specs)

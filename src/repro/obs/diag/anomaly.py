@@ -4,10 +4,10 @@ deviation scoring, per (kernel signature, backend, shard worker).
 Static bench baselines (``BENCH_*.json``) catch regressions between PRs;
 they cannot catch a *drift in production* — a kernel whose cost is
 input-dependent going quadratic on a new workload shape, one shard worker
-on a sick host, a codegen kernel silently falling back to the
-interpreter.  The detector keeps a per-key exponentially-weighted moving
-average of latency plus an EWMA of absolute deviation (a streaming stand-
-in for the median absolute deviation), scores each new observation as
+on a sick host, a fused chain slowing down as its inputs densify.  The
+detector keeps a per-key exponentially-weighted moving average of latency
+plus an EWMA of absolute deviation (a streaming stand-in for the median
+absolute deviation), scores each new observation as
 
     score = |x - ewma| / (ewma_abs_deviation + eps)
 

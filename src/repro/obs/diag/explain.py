@@ -4,11 +4,10 @@ actually decided — per node, per request.
 The nonblocking model makes the interesting decisions invisible: by the
 time a client sees its answer, the planner has elided dead ops, fused
 producer→consumer chains, merged CSE duplicates (possibly *across*
-requests in a batched drain), picked a kernel backend, and maybe sharded
-nodes over a process pool.  EXPLAIN records those decisions as they are
-made — a thread-local :class:`ExplainCollector` installed around a drain
-receives one record per built plan — and renders them as JSON or
-human-readable text.
+requests in a batched drain), and maybe sharded nodes over a process
+pool.  EXPLAIN records those decisions as they are made — a thread-local
+:class:`ExplainCollector` installed around a drain receives one record
+per built plan — and renders them as JSON or human-readable text.
 
 Exposure paths (wired in the service layer):
 
@@ -117,19 +116,10 @@ def _node_line(node: dict) -> list[str]:
         details.append(
             f"fused chain of {len(chain)}: " + " -> ".join(chain)
         )
-        be = node.get("backend")
-        if be:
-            flag = node.get("compile_eligible")
-            comp = "" if flag is None else (
-                " (compile-eligible)" if flag else " (interpreted)"
-            )
-            details.append(f"kernel backend: {be}{comp}")
     elif kind == "cse":
         details.append(
             f"cse: reuses T of node {node.get('cse_source')}"
         )
-    elif node.get("backend"):
-        details.append(f"kernel backend: {node['backend']}")
     rids = node.get("request_ids", ())
     if rids:
         word = "shared by" if len(rids) > 1 else "request"
@@ -166,8 +156,7 @@ def render_text(record: dict) -> str:
         opt = "on" if p.get("optimize", True) else "off"
         lines.append(
             f"plan {p.get('plan', '?')}: {len(p.get('nodes', []))} node(s), "
-            f"{p.get('levels', '?')} level(s), planner {opt}, "
-            f"kernel backend {p.get('kernel_backend', '?')}"
+            f"{p.get('levels', '?')} level(s), planner {opt}"
         )
         summary = []
         if p.get("elided"):

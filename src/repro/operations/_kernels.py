@@ -209,17 +209,12 @@ def _observed_kernel(
     *,
     flops_estimated: int,
     nnz_in: int,
-    backend: str = "interpreter",
-    compiled: bool = False,
 ):
     """Shared measurement shell for semiring kernels.
 
     *run* takes the realized-flops accumulator list and returns
     ``(keys, vals)``; the shell opens the kernel span, counts into the
     process registry, and guarantees the span closes on error paths.
-    *backend*/*compiled* are kernel provenance: which kernel suite produced
-    T, and whether a generated (compiled) kernel ran rather than the
-    hand-written one.
     """
     sink = _obs_spans.current()
     fast = getattr(sink, "fast_append", None) if sink is not None else None
@@ -234,7 +229,6 @@ def _observed_kernel(
         sp = sink.open(
             label, "kernel",
             flops_estimated=flops_estimated, nnz_in=nnz_in,
-            backend=backend, compiled=compiled,
         )
     try:
         keys, vals = run(acc)
@@ -249,8 +243,6 @@ def _observed_kernel(
             fast(label, "kernel", t0, _time.perf_counter(), {
                 "flops_estimated": flops_estimated,
                 "nnz_in": nnz_in,
-                "backend": backend,
-                "compiled": compiled,
                 "flops_realized": realized,
                 "nnz_out": len(keys),
                 "blocks": max(len(acc), 1),
@@ -272,8 +264,6 @@ def _observed_kernel(
             fast(label, "kernel", t0, _time.perf_counter(), {
                 "flops_estimated": flops_estimated,
                 "nnz_in": nnz_in,
-                "backend": backend,
-                "compiled": compiled,
                 "failed": True,
             }, False)
 

@@ -29,6 +29,7 @@ from ..containers.vector import Vector
 from ..descriptor import Descriptor, effective
 from ..execution.sequence import OpSpec
 from ..info import DimensionMismatch, DomainMismatch, InvalidValue, NullPointer
+from ..kernels.interpreter import InterpreterBackend
 from ..ops.base import BinaryOp
 from ..types import GrBType, can_cast, cast_array
 
@@ -42,7 +43,6 @@ __all__ = [
     "execute_standard",
     "execute_sharded",
     "execute_chain",
-    "execute_fused",
     "check_output",
     "check_input",
 ]
@@ -302,23 +302,11 @@ def execute_chain(specs: list[OpSpec]) -> None:
     every absorbed link (``apply`` / ``select`` / ``reduce``) and only the
     tail runs a write pipeline.  The planner's fusion pass has already
     proven every intermediate value unobservable.
-
-    *Which* kernel suite computes the stream is the active kernel backend's
-    decision (:func:`repro.kernels.active_backend` — interpreter or
-    codegen); the op span records the choice as provenance.
     """
-    from ..kernels import active_backend
-
-    backend = active_backend()
-    if _obs_spans.current() is not None:
-        _obs_spans.annotate(backend=backend.name)
-    backend.run_chain(specs)
+    _CHAINS.run_chain(specs)
 
 
-def execute_fused(p_spec: OpSpec, q_spec: OpSpec) -> None:
-    """Back-compat entry for a two-element chain (the pre-chain planner's
-    producer→consumer contraction)."""
-    execute_chain([p_spec, q_spec])
+_CHAINS = InterpreterBackend()
 
 
 def submit_standard_op(

@@ -14,13 +14,11 @@ from .config import (
     get_backend,
     get_kernel_backend,
     get_num_threads,
-    register_kernel_backend,
     parallel_threshold,
     pool_stats,
     row_blocks,
     serial_section,
     set_backend,
-    set_kernel_backend,
     set_num_threads,
     set_parallel_threshold,
     set_shard_grid,
@@ -35,8 +33,6 @@ __all__ = [
     "get_backend",
     "set_backend",
     "get_kernel_backend",
-    "set_kernel_backend",
-    "register_kernel_backend",
     "get_num_threads",
     "set_num_threads",
     "parallel_threshold",

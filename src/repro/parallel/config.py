@@ -35,8 +35,6 @@ __all__ = [
     "get_backend",
     "set_backend",
     "get_kernel_backend",
-    "set_kernel_backend",
-    "register_kernel_backend",
     "get_num_threads",
     "set_num_threads",
     "parallel_threshold",
@@ -53,12 +51,6 @@ __all__ = [
 ]
 
 BACKENDS = ("serial", "threads", "processes")
-#: kernel-suite backends (how a planned op/chain computes T), orthogonal to
-#: the execution backend above (where it runs).  "interpreter" is the
-#: hand-written kernel suite; "codegen" compiles eligible fused chains
-#: (see :mod:`repro.kernels`).  Third-party suites register themselves via
-#: :func:`register_kernel_backend`.
-KERNEL_BACKENDS = ("interpreter", "codegen")
 DEFAULT_THRESHOLD = 200_000
 #: hard cap on shard workers — deliberately *not* clamped to cpu_count():
 #: oversubscription is how the 2-worker CI grid runs on 1-core runners
@@ -98,35 +90,11 @@ def set_backend(name: str) -> None:
     _backend = name
 
 
-_kernel_backend = "interpreter"
-_known_kernel_backends = set(KERNEL_BACKENDS)
-
-
 def get_kernel_backend() -> str:
-    return _kernel_backend
-
-
-def set_kernel_backend(name: str) -> None:
-    """Select the kernel suite for planned ops and fused chains.
-
-    ``interpreter`` (default) runs the hand-written numpy kernels;
-    ``codegen`` compiles eligible fused chains into generated kernels and
-    falls back to the interpreter everywhere else.  Results are identical
-    by contract — the backend is an execution strategy, never a semantic.
-    """
-    global _kernel_backend
-    if name not in _known_kernel_backends:
-        raise InvalidValue(
-            f"unknown kernel backend {name!r}; expected one of "
-            f"{tuple(sorted(_known_kernel_backends))}"
-        )
-    _kernel_backend = name
-
-
-def register_kernel_backend(name: str) -> None:
-    """Make *name* accepted by :func:`set_kernel_backend` (called by
-    :func:`repro.kernels.register_backend` for out-of-tree suites)."""
-    _known_kernel_backends.add(name)
+    """The kernel suite computing every planned op and fused chain: always
+    the hand-written numpy kernels (:mod:`repro.kernels.interpreter`).
+    Kept as a query so run records can state it."""
+    return "interpreter"
 
 
 def shard_workers() -> int:

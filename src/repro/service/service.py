@@ -35,7 +35,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar
 
 from .. import context
 from ..obs import diag, metrics
@@ -79,9 +79,9 @@ class ServiceConfig:
     #: kernel execution backend for drained batches
     #: (``serial`` | ``threads`` | ``processes`` — see :mod:`repro.parallel`)
     backend: str = "threads"
-    #: kernel suite for drained batches (``interpreter`` | ``codegen`` —
-    #: see :mod:`repro.kernels`); codegen compiles eligible fused chains
-    kernel_backend: str = "interpreter"
+    #: kernel suite for drained batches — a constant (the hand-written
+    #: kernels of :mod:`repro.kernels.interpreter`), not a setting
+    kernel_backend: ClassVar[str] = "interpreter"
     #: shard-pool size for the ``processes`` backend (None → leave the
     #: process-wide :func:`repro.parallel.shard_workers` setting alone)
     shard_workers: int | None = None
@@ -170,7 +170,6 @@ class Service:
                 min_dump_interval_s=config.diag_min_dump_interval_s,
             )
         parallel.set_backend(config.backend)
-        parallel.set_kernel_backend(config.kernel_backend)
         if config.shard_workers is not None:
             parallel.set_shard_workers(config.shard_workers)
         if config.autostart:

@@ -120,13 +120,10 @@ def worker_main(conn, worker_id: int) -> None:
     from ..obs import metrics as _metrics
     from ..obs import spans as _spans
     from ..obs.diag.recorder import RingSink
-    from ..parallel import set_backend, set_kernel_backend
+    from ..parallel import set_backend
     from .protocol import Free, Hello, Shutdown, Task, Error, Result, recv_msg, send_msg
 
     set_backend("serial")  # no thread fan-out beneath the process pool
-    # workers compute unfused T blocks only — chains never ship, so the
-    # interpreter suite is pinned regardless of the parent's selection
-    set_kernel_backend("interpreter")
     # the worker's own flight-recorder ring + always-on counters: spans
     # and counter deltas ship back piggybacked on each Result, so the
     # parent can stitch a causally-ordered dump even if this process is

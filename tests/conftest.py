@@ -22,7 +22,6 @@ def fresh_context():
     parallel.set_backend("threads")
     parallel.set_parallel_threshold(parallel.config.DEFAULT_THRESHOLD)
     parallel.set_shard_grid(None)
-    parallel.set_kernel_backend("interpreter")
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Plan EXPLAIN: the rendered record must match what the planner actually
-did — every contraction named, sharing request ids on CSE merges, the
-chosen kernel backend — plus the wire command and the CLI entry point.
+did — every contraction named, sharing request ids on CSE merges — plus
+the wire command and the CLI entry point.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class TestPinnedTwoRequestBatch:
             assert len(plans) == 1
             p = plans[0]
             assert p["optimize"] is True
-            assert p["kernel_backend"] == "interpreter"
+            assert p["exec_backend"] == "threads"
             # the plan-level counters match what actually executed
             assert p["fused_chains"] == len(ran_fused)
             assert p["cse_merged"] == len(ran_cse)
@@ -95,7 +95,6 @@ class TestPinnedTwoRequestBatch:
                 assert rid in node["request_ids"]
                 if node["kind"] == "fused":
                     assert node["ops"] == ["mxm", "apply"]
-                    assert node["backend"] == "interpreter"
             # every request's view names its own fused contraction
             assert any(n["kind"] == "fused" for n in p["nodes"])
             text = record["text"]
